@@ -32,7 +32,9 @@ if command -v ninja >/dev/null 2>&1; then
 fi
 
 stage "configure"
-cmake -B "${build_dir}" -S "${repo_root}" "${generator[@]}" "$@"
+# Warnings fail the gate: a clean -Wall -Wextra build is part of the contract.
+cmake -B "${build_dir}" -S "${repo_root}" "${generator[@]}" -DLLMDM_WERROR=ON \
+  "$@"
 
 stage "build"
 cmake --build "${build_dir}" -j "$(nproc)"

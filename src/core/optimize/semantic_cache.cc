@@ -213,45 +213,6 @@ std::optional<SemanticCache::Hit> SemanticCache::Lookup(
   embedder_.EmbedInto(query, &q);
   Shard& shard = *shards_[ShardIndexFor(query)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  return ProbeShardLocked(shard, q, avoided_cost, output_price_per_1k);
-}
-
-std::vector<std::optional<SemanticCache::Hit>> SemanticCache::LookupBatch(
-    const std::vector<std::string_view>& queries,
-    const std::vector<common::Money>& avoided_costs,
-    common::Money output_price_per_1k) {
-  std::vector<std::optional<Hit>> out(queries.size());
-  if (queries.empty()) return out;
-  // Phase 1, lock-free: embed every query into one contiguous arena and
-  // bucket the indices by shard (arrival order is preserved within a shard,
-  // so per-shard tick sequences match the sequential-Lookup ones exactly).
-  const size_t dim = embedder_.dimension();
-  std::vector<float> arena(queries.size() * dim);
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    embedder_.EmbedInto(queries[i], arena.data() + i * dim);
-    by_shard[ShardIndexFor(queries[i])].push_back(i);
-  }
-  // Phase 2: one lock per touched shard, probing its queries in order.
-  embed::Vector q;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (size_t i : by_shard[s]) {
-      const float* row = arena.data() + i * dim;
-      q.assign(row, row + dim);
-      common::Money avoided = avoided_costs.empty() ? common::Money::Zero()
-                                                    : avoided_costs[i];
-      out[i] = ProbeShardLocked(shard, q, avoided, output_price_per_1k);
-    }
-  }
-  return out;
-}
-
-std::optional<SemanticCache::Hit> SemanticCache::ProbeShardLocked(
-    Shard& shard, const embed::Vector& q, common::Money avoided_cost,
-    common::Money output_price_per_1k) {
   shard.metrics.lookups->Add(1);
   ++shard.tick;
   if (shard.live_count == 0) return std::nullopt;

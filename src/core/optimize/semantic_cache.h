@@ -170,18 +170,6 @@ class SemanticCache : public durability::DurableState {
       common::Money avoided_cost = common::Money::Zero(),
       common::Money output_price_per_1k = common::Money::Zero());
 
-  /// Batched reuse lookup: semantically identical to calling Lookup() once
-  /// per query in order (same hits, same stats, same tick sequence per
-  /// shard), but amortized for the serving admission path — all queries are
-  /// embedded first into one contiguous arena (no per-query Vector churn),
-  /// then each shard is locked once and probed for every query that hashes
-  /// to it, in arrival order. `avoided_costs` must be empty (all zero) or
-  /// one entry per query.
-  std::vector<std::optional<Hit>> LookupBatch(
-      const std::vector<std::string_view>& queries,
-      const std::vector<common::Money>& avoided_costs = {},
-      common::Money output_price_per_1k = common::Money::Zero());
-
   /// Augmentation lookup: top-k similar cached (query, response) pairs below
   /// or above threshold, for use as extra few-shot examples (hit case (2)).
   /// Searches every shard and merges.
@@ -333,11 +321,6 @@ class SemanticCache : public durability::DurableState {
   std::vector<vectordb::SearchResult> SearchShard(const Shard& shard,
                                                   const embed::Vector& query,
                                                   size_t k) const;
-  /// The post-embedding body of Lookup (tick, probe, threshold, credit) —
-  /// shared with LookupBatch. Requires shard.mu.
-  std::optional<Hit> ProbeShardLocked(Shard& shard, const embed::Vector& q,
-                                      common::Money avoided_cost,
-                                      common::Money output_price_per_1k);
 
   Options options_;
   embed::HashingEmbedder embedder_;

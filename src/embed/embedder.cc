@@ -52,11 +52,7 @@ Vector HashingEmbedder::Embed(std::string_view text) const {
 
 void HashingEmbedder::EmbedInto(std::string_view text, Vector* out) const {
   out->resize(options_.dimension);
-  EmbedInto(text, out->data());
-}
-
-void HashingEmbedder::EmbedInto(std::string_view text, float* out) const {
-  float* const v = out;
+  float* const v = out->data();
   std::fill_n(v, options_.dimension, 0.0f);
   auto bucket_add = [&](uint64_t h, float weight) {
     size_t bucket = h % options_.dimension;

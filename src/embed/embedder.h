@@ -58,12 +58,6 @@ class HashingEmbedder {
   /// padded string (see common::Fnv1aByte).
   void EmbedInto(std::string_view text, Vector* out) const;
 
-  /// EmbedInto() against a raw buffer of dimension() floats — the batch
-  /// variant for callers that embed many texts into one contiguous arena
-  /// (SemanticCache::LookupBatch) without a Vector per query. Bit-identical
-  /// to Embed().
-  void EmbedInto(std::string_view text, float* out) const;
-
   /// Convenience: cosine similarity of two texts under this embedder.
   float Similarity(std::string_view a, std::string_view b) const;
 

@@ -1,6 +1,8 @@
 #include "net/wire.h"
 
+#include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -126,6 +128,15 @@ common::Result<WireRequest> DecodeRequest(std::string_view payload) {
   if (r.priority > 2) {
     return common::Status::InvalidArgument(
         common::StrFormat("request priority %u out of range", r.priority));
+  }
+  // Both feed the serve layer's virtual clock: NetServer clamps arrivals
+  // forward, so one +inf arrival would pin every later request at infinity.
+  for (const auto& [name, value] : {std::pair{"arrival_vms", r.arrival_vms},
+                                    std::pair{"deadline_ms", r.deadline_ms}}) {
+    if (!std::isfinite(value) || value < 0.0) {
+      return common::Status::InvalidArgument(common::StrFormat(
+          "request %s %g is not a finite non-negative number", name, value));
+    }
   }
   return r;
 }

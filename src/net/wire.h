@@ -148,6 +148,8 @@ std::string EncodeErrorFrame(const WireError& error);
 // ---- Payload decoding (bounds-checked; kOutOfRange on truncation,
 //      kInvalidArgument on trailing garbage) ----
 
+/// Also kInvalidArgument: a priority above 2, or an arrival_vms or
+/// deadline_ms that is not a finite non-negative number.
 common::Result<WireRequest> DecodeRequest(std::string_view payload);
 common::Result<WireResponse> DecodeResponse(std::string_view payload);
 common::Result<WireChunk> DecodeChunk(std::string_view payload);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -16,6 +17,19 @@ namespace llmdm::serve {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Share of queue_depth usable by Priority::kBatch requests.
+constexpr double kBatchQueueFraction = 0.5;
+/// Extra headroom (share of queue_depth) reserved for Priority::kInteractive
+/// requests once the nominal queue is full.
+constexpr double kInteractiveReserveFraction = 0.25;
+/// Virtual ms a failed attempt is deemed to have occupied its slot (timeouts
+/// and retry storms burn time even when nothing is returned).
+constexpr double kFailedAttemptPenaltyMs = 1000.0;
+
+/// Single-flight identity of a request: its (skill, input).
+uint64_t FlightKey(const Request& request) {
+  return common::Fnv1a(request.input, common::Fnv1a(request.skill));
+}
 
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -44,8 +58,6 @@ Server::Server(std::shared_ptr<llm::LlmModel> model, const Options& options,
   metrics_.admitted = registry_->GetCounter("llmdm_serve_admitted_total");
   metrics_.shed = registry_->GetCounter("llmdm_serve_shed_total");
   metrics_.coalesced = registry_->GetCounter("llmdm_serve_coalesced_total");
-  metrics_.cache_probe_hits =
-      registry_->GetCounter("llmdm_serve_cache_probe_hits_total");
   metrics_.completed = registry_->GetCounter("llmdm_serve_completed_total");
   metrics_.failed = registry_->GetCounter("llmdm_serve_failed_total");
   metrics_.deadline_missed =
@@ -121,8 +133,6 @@ Server::Server(std::shared_ptr<llm::LlmModel> model, const Options& options,
           registry_->GetCounter("llmdm_serve_tenant_admitted_total", labels);
       ts->coalesced =
           registry_->GetCounter("llmdm_serve_tenant_coalesced_total", labels);
-      ts->cache_probe_hits = registry_->GetCounter(
-          "llmdm_serve_tenant_cache_probe_hits_total", labels);
       ts->shed_quota = registry_->GetCounter(
           "llmdm_serve_tenant_shed_total",
           {{"tenant", cfg.id}, {"cause", "quota"}});
@@ -173,9 +183,8 @@ double Server::EstimateTokens(const Request& request) const {
                              options_.est_output_tokens);
 }
 
-double Server::EstimateServiceVms(const Request& request) const {
-  return model_->spec().latency_ms_per_1k_tokens * EstimateTokens(request) /
-         1000.0;
+double Server::EstimateServiceVms(double est_tokens) const {
+  return model_->spec().latency_ms_per_1k_tokens * est_tokens / 1000.0;
 }
 
 void Server::Submit(const Request& request) {
@@ -215,27 +224,7 @@ void Server::Submit(const Request& request) {
   double queue_len = static_cast<double>(pending_starts_.size());
   metrics_.max_queue_len->SetMax(static_cast<int64_t>(queue_len));
 
-  // Single-flight: an identical call still in flight (by the virtual queue
-  // model — the leader's estimated finish is after this arrival) absorbs
-  // the request. The follower takes no slot, joins no queue, and cannot be
-  // shed: it adds no load. Decided here, in arrival order, so coalescing is
-  // deterministic across runs and worker counts.
-  uint64_t flight_key = 0;
-  if (options_.single_flight) {
-    flight_key = common::Fnv1a(request.input, common::Fnv1a(request.skill));
-    auto it = inflight_.find(flight_key);
-    if (it != inflight_.end() &&
-        request.arrival_vms < it->second->est_finish_vms) {
-      metrics_.admitted->Add(1);
-      metrics_.coalesced->Add(1);
-      Work work;
-      work.request = request;
-      work.group = it->second;
-      work.coalesced_follower = true;
-      EnqueueWork(std::move(work));
-      return;
-    }
-  }
+  if (TryCoalesce(request, nullptr)) return;
 
   double earliest_free = kInf;
   size_t slot = 0;
@@ -246,190 +235,113 @@ void Server::Submit(const Request& request) {
     }
   }
   double est_start = std::max(request.arrival_vms, earliest_free);
-  double est_service = EstimateServiceVms(request);
+  double est_service = EstimateServiceVms(EstimateTokens(request));
   double queue_wait = est_start - request.arrival_vms;
 
-  bool shed = false;
-  ShedCause shed_cause = ShedCause::kNone;
-  std::string shed_reason;
   if (options_.shed_policy != ShedPolicy::kNone) {
     double depth = static_cast<double>(options_.queue_depth);
     double limit = depth;
     switch (request.priority) {
       case Priority::kBatch:
-        limit = depth * options_.batch_queue_fraction;
+        limit = depth * kBatchQueueFraction;
         break;
       case Priority::kNormal:
         break;
       case Priority::kInteractive:
-        limit = depth * (1.0 + options_.interactive_reserve_fraction);
+        limit = depth * (1.0 + kInteractiveReserveFraction);
         break;
     }
+    const double retry_after =
+        std::max(0.0, earliest_free - request.arrival_vms);
     if (queue_len >= limit) {
-      shed = true;
-      shed_cause = ShedCause::kQueue;
-      shed_reason = common::StrFormat(
-          "queue full (%zu waiting, limit %.0f)", pending_starts_.size(),
-          limit);
-    } else if (options_.shed_policy == ShedPolicy::kDeadlineAware &&
-               request.deadline_ms > 0.0 && queue_wait >= request.deadline_ms) {
-      shed = true;
-      shed_cause = ShedCause::kDeadline;
-      shed_reason = common::StrFormat(
-          "estimated wait %.0fms exceeds %.0fms deadline", queue_wait,
-          request.deadline_ms);
+      Shed(request, ShedCause::kQueue,
+           common::StrFormat("queue full (%zu waiting, limit %.0f)",
+                             pending_starts_.size(), limit),
+           retry_after);
+      return;
     }
-  }
-
-  if (shed) {
-    metrics_.shed->Add(1);
-    Response r;
-    r.id = request.id;
-    r.tenant = request.tenant;
-    r.shed = true;
-    r.shed_cause = shed_cause;
-    r.status = common::Status::ResourceExhausted("shed: " + shed_reason);
-    r.retry_after_vms = std::max(0.0, earliest_free - request.arrival_vms);
-    PushResponse(std::move(r));
-    return;
+    if (options_.shed_policy == ShedPolicy::kDeadlineAware &&
+        request.deadline_ms > 0.0 && queue_wait >= request.deadline_ms) {
+      Shed(request, ShedCause::kDeadline,
+           common::StrFormat("estimated wait %.0fms exceeds %.0fms deadline",
+                             queue_wait, request.deadline_ms),
+           retry_after);
+      return;
+    }
   }
 
   metrics_.admitted->Add(1);
   slot_free_vms_[slot] = est_start + est_service;
   pending_starts_.push(est_start);
-  est_services_.insert(
-      std::upper_bound(est_services_.begin(), est_services_.end(), est_service),
-      est_service);
+  Dispatch(request, est_start, est_service, nullptr);
+}
 
+bool Server::TryCoalesce(const Request& request, TenantState* tenant_state) {
+  // An identical call still in flight (by the virtual queue model — the
+  // leader's estimated finish is after this arrival) absorbs the request.
+  // The follower takes no slot, joins no queue, and cannot be shed: it adds
+  // no load. Decided here, in arrival order, so coalescing is deterministic
+  // across runs and worker counts.
+  if (!options_.single_flight) return false;
+  auto it = inflight_.find(FlightKey(request));
+  if (it == inflight_.end() ||
+      request.arrival_vms >= it->second->est_finish_vms) {
+    return false;
+  }
+  metrics_.admitted->Add(1);
+  metrics_.coalesced->Add(1);
+  if (tenant_state != nullptr) {
+    tenant_state->admitted->Add(1);
+    tenant_state->coalesced->Add(1);
+  }
   Work work;
   work.request = request;
-  work.est_start_vms = est_start;
-  work.est_service_vms = est_service;
-  work.queue_wait_vms = queue_wait;
-  work.hedge_trigger_vms = Percentile(est_services_, options_.hedge_percentile);
+  work.group = it->second;
+  work.coalesced_follower = true;
+  work.tenant_state = tenant_state;
+  EnqueueWork(std::move(work));
+  return true;
+}
+
+void Server::Dispatch(Request request, double est_start_vms,
+                      double est_service_vms, TenantState* tenant_state) {
+  Work work;
+  work.est_start_vms = est_start_vms;
+  work.queue_wait_vms = est_start_vms - request.arrival_vms;
+  work.tenant_state = tenant_state;
+  if (options_.hedging) {
+    // Only the hedge trigger reads the sorted history of estimated service
+    // times, so without hedging it is neither kept nor grown.
+    est_services_.insert(std::upper_bound(est_services_.begin(),
+                                          est_services_.end(), est_service_vms),
+                         est_service_vms);
+    work.hedge_trigger_vms =
+        Percentile(est_services_, options_.hedge_percentile);
+  }
   if (options_.single_flight) {
     // This request leads a new flight; later identical arrivals inside
     // [arrival, est_finish) will ride it. Replacing any expired group for
     // the key keeps the map at one entry per distinct (skill, input).
     auto group = std::make_shared<FlightGroup>();
-    group->leader_id = request.id;
-    group->est_finish_vms = est_start + est_service;
-    inflight_[flight_key] = group;
-    work.group = group;
+    group->est_finish_vms = est_start_vms + est_service_vms;
+    inflight_[FlightKey(request)] = group;
+    work.group = std::move(group);
   }
+  work.request = std::move(request);
   EnqueueWork(std::move(work));
 }
 
-void Server::SubmitBatch(const std::vector<Request>& batch) {
-  if (batch.empty()) return;
-  if (!options_.batch_probe) {
-    for (const Request& request : batch) Submit(request);
-    return;
-  }
-
-  // Probe the whole batch once, on the submitting thread, before any
-  // admission decision: hit/miss outcomes are fixed in arrival order, so
-  // the downstream admission sequence (and every virtual-clock decision it
-  // makes) is identical across runs and worker counts. This is also where
-  // the batching pays off — the probe can embed and score the whole batch
-  // through the vector kernels in one pass instead of per request.
-  std::vector<const Request*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const Request& request : batch) ptrs.push_back(&request);
-  const std::vector<BatchProbeOutcome> outcomes = options_.batch_probe(ptrs);
-
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Request& request = batch[i];
-    if (i >= outcomes.size() || !outcomes[i].hit) {
-      Submit(request);
-      continue;
-    }
-
-    // Cache hit: answer on the spot. The request is submitted+admitted for
-    // accounting but never enters the virtual queue — it takes no slot,
-    // adds no load, and costs nothing. Maintenance boundaries still fire
-    // here (before the "admission"), exactly as in Submit(), so a workload
-    // keeps the same maintenance schedule whether its requests hit or miss.
-    TenantState* tenant_state = nullptr;
-    bool quota_shed = false;
-    double quota_retry_vms = 0.0;
-    double quota_level = 0.0;
-    double est_tokens = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(admission_mu_);
-      if (draining_) continue;
-      metrics_.submitted->Add(1);
-      if (options_.maintenance_interval_vms > 0 && options_.maintenance_hook) {
-        while (request.arrival_vms >= next_maintenance_vms_) {
-          options_.maintenance_hook();
-          metrics_.maintenance_runs->Add(1);
-          next_maintenance_vms_ += options_.maintenance_interval_vms;
-        }
-      }
-      MaybeCloseBatch(request.arrival_vms);
-      if (qos_scheduler_ != nullptr) {
-        // The hit shares the full QoS admission contract with Submit():
-        // play the dispatcher up to this arrival (bucket refill and queue
-        // state must reflect everything that virtually started first), then
-        // charge the tenant's token bucket the same admission estimate a
-        // miss would pay. A hit is still a consumed admission — answering
-        // it free of quota would let a cache-hot tenant burst unmetered
-        // past its rate, and would make SubmitBatch and an equivalent
-        // Submit() loop disagree on every tenant ledger.
-        DispatchReadyQos(request.arrival_vms);
-        tenant_state = ResolveTenant(request.tenant);
-        tenant_state->submitted->Add(1);
-        est_tokens = EstimateTokens(request);
-        if (!tenant_state->bucket.TryTake(request.arrival_vms, est_tokens,
-                                          &quota_retry_vms)) {
-          quota_shed = true;
-          quota_level = tenant_state->bucket.level();
-          metrics_.shed->Add(1);
-          tenant_state->shed_quota->Add(1);
-        } else {
-          metrics_.admitted->Add(1);
-          metrics_.cache_probe_hits->Add(1);
-          tenant_state->admitted->Add(1);
-          tenant_state->cache_probe_hits->Add(1);
-        }
-      } else {
-        metrics_.admitted->Add(1);
-        metrics_.cache_probe_hits->Add(1);
-      }
-    }
-
-    if (quota_shed) {
-      // Refused exactly like a Submit()-path quota shed, cached answer or
-      // not: the hint comes from this tenant's own bucket.
-      Response r;
-      r.id = request.id;
-      r.tenant = request.tenant;
-      r.shed = true;
-      r.shed_cause = ShedCause::kQuota;
-      r.status = common::Status::ResourceExhausted(common::StrFormat(
-          "shed: tenant quota exhausted (%.0f tokens needed, %.0f available)",
-          est_tokens, quota_level));
-      r.retry_after_vms = quota_retry_vms;
-      PushResponse(std::move(r));
-      continue;
-    }
-
-    Response response;
-    response.id = request.id;
-    response.tenant = request.tenant;
-    response.status = common::Status::Ok();
-    response.text = outcomes[i].response;
-    response.model = outcomes[i].model;
-    response.cost = common::Money::Zero();
-    response.queue_wait_vms = 0.0;
-    // One virtual ms of service: a probe hit is near-instant next to a
-    // model call but not free, and a nonzero latency keeps the response
-    // inside every deadline/percentile computation downstream.
-    response.service_vms = 1.0;
-    response.latency_vms = 1.0;
-    clock_.AdvanceTo(request.arrival_vms + response.latency_vms);
-    PushResponse(std::move(response), tenant_state);
-  }
+void Server::Shed(const Request& request, ShedCause cause,
+                  const std::string& reason, double retry_after_vms) {
+  metrics_.shed->Add(1);
+  Response r;
+  r.id = request.id;
+  r.tenant = request.tenant;
+  r.shed = true;
+  r.shed_cause = cause;
+  r.status = common::Status::ResourceExhausted("shed: " + reason);
+  r.retry_after_vms = retry_after_vms;
+  PushResponse(std::move(r));
 }
 
 Server::TenantState* Server::ResolveTenant(const TenantId& id) {
@@ -453,45 +365,20 @@ void Server::SubmitQos(const Request& request) {
   // and queue-share checks. Flights register at dispatch time (the leader
   // is already in the worker queue), so the FIFO no-deadlock argument from
   // the legacy path carries over unchanged.
-  uint64_t flight_key = 0;
-  if (options_.single_flight) {
-    flight_key = common::Fnv1a(request.input, common::Fnv1a(request.skill));
-    auto it = inflight_.find(flight_key);
-    if (it != inflight_.end() && now < it->second->est_finish_vms) {
-      metrics_.admitted->Add(1);
-      metrics_.coalesced->Add(1);
-      ts->admitted->Add(1);
-      ts->coalesced->Add(1);
-      Work work;
-      work.request = request;
-      work.group = it->second;
-      work.coalesced_follower = true;
-      work.tenant_state = ts;
-      EnqueueWork(std::move(work));
-      return;
-    }
-  }
+  if (TryCoalesce(request, ts)) return;
 
   const double est_tokens = EstimateTokens(request);
-  const double est_service =
-      model_->spec().latency_ms_per_1k_tokens * est_tokens / 1000.0;
+  const double est_service = EstimateServiceVms(est_tokens);
 
   // Queue share first — a full tenant queue refuses before any quota is
   // spent, so a shed request never burns rate budget it got nothing for.
   if (qos_scheduler_->QueueLen(ts->index) >= ts->queue_limit) {
-    metrics_.shed->Add(1);
     ts->shed_queue->Add(1);
-    Response r;
-    r.id = request.id;
-    r.tenant = request.tenant;
-    r.shed = true;
-    r.shed_cause = ShedCause::kQueue;
-    r.status = common::Status::ResourceExhausted(common::StrFormat(
-        "shed: tenant queue share full (%zu waiting, limit %zu)",
-        qos_scheduler_->QueueLen(ts->index), ts->queue_limit));
-    r.retry_after_vms =
-        std::max(0.0, qos_scheduler_->EarliestSlotFreeVms() - now);
-    PushResponse(std::move(r));
+    Shed(request, ShedCause::kQueue,
+         common::StrFormat("tenant queue share full (%zu waiting, limit %zu)",
+                           qos_scheduler_->QueueLen(ts->index),
+                           ts->queue_limit),
+         std::max(0.0, qos_scheduler_->EarliestSlotFreeVms() - now));
     return;
   }
 
@@ -500,18 +387,12 @@ void Server::SubmitQos(const Request& request) {
   // how empty the global queue is.
   double quota_retry_vms = 0.0;
   if (!ts->bucket.TryTake(now, est_tokens, &quota_retry_vms)) {
-    metrics_.shed->Add(1);
     ts->shed_quota->Add(1);
-    Response r;
-    r.id = request.id;
-    r.tenant = request.tenant;
-    r.shed = true;
-    r.shed_cause = ShedCause::kQuota;
-    r.status = common::Status::ResourceExhausted(common::StrFormat(
-        "shed: tenant quota exhausted (%.0f tokens needed, %.0f available)",
-        est_tokens, ts->bucket.level()));
-    r.retry_after_vms = quota_retry_vms;
-    PushResponse(std::move(r));
+    Shed(request, ShedCause::kQuota,
+         common::StrFormat(
+             "tenant quota exhausted (%.0f tokens needed, %.0f available)",
+             est_tokens, ts->bucket.level()),
+         quota_retry_vms);
     return;
   }
 
@@ -535,29 +416,8 @@ void Server::DispatchReadyQos(double now_vms) {
     auto it = pending_qos_.find(d.id);
     PendingQos pending = std::move(it->second);
     pending_qos_.erase(it);
-
-    Work work;
-    work.request = std::move(pending.request);
-    work.est_start_vms = d.start_vms;
-    work.est_service_vms = pending.est_service_vms;
-    work.queue_wait_vms = d.start_vms - work.request.arrival_vms;
-    est_services_.insert(
-        std::upper_bound(est_services_.begin(), est_services_.end(),
-                         pending.est_service_vms),
-        pending.est_service_vms);
-    work.hedge_trigger_vms =
-        Percentile(est_services_, options_.hedge_percentile);
-    work.tenant_state = pending.tenant_state;
-    if (options_.single_flight) {
-      uint64_t key = common::Fnv1a(work.request.input,
-                                   common::Fnv1a(work.request.skill));
-      auto group = std::make_shared<FlightGroup>();
-      group->leader_id = work.request.id;
-      group->est_finish_vms = d.start_vms + pending.est_service_vms;
-      inflight_[key] = group;
-      work.group = group;
-    }
-    EnqueueWork(std::move(work));
+    Dispatch(std::move(pending.request), d.start_vms, pending.est_service_vms,
+             pending.tenant_state);
   }
 }
 
@@ -661,87 +521,90 @@ void Server::Execute(const Work& work) {
     ExecuteCoalesced(work);
     return;
   }
+  std::optional<Attempt> attempt = BeginAttempt(work);
+  if (!attempt) return;
+  llm::UsageMeter primary_meter;
+  auto primary = model_->CompleteMetered(attempt->prompt, &primary_meter);
+  FinishExecute(std::move(*attempt), std::move(primary), primary_meter);
+}
+
+std::optional<Server::Attempt> Server::BeginAttempt(const Work& work) {
   const Request& req = work.request;
-  Response r;
-  r.id = req.id;
-  r.tenant = req.tenant;
-  r.queue_wait_vms = work.queue_wait_vms;
+  Attempt a;
+  a.work = &work;
+  a.r.id = req.id;
+  a.r.tenant = req.tenant;
+  a.r.queue_wait_vms = work.queue_wait_vms;
 
   // Span times are anchored in the request's virtual-time frame (arrival,
   // estimated start, estimated start + service), so the tree is as
   // deterministic as the workload itself.
-  std::shared_ptr<obs::TraceContext> trace;
   if (options_.tracing) {
-    trace = std::make_shared<obs::TraceContext>("request", req.arrival_vms);
-    trace->SetAttr(nullptr, "id", std::to_string(req.id));
-    trace->SetAttr(nullptr, "skill", req.skill);
-    if (!req.tenant.empty()) trace->SetAttr(nullptr, "tenant", req.tenant);
+    a.trace = std::make_shared<obs::TraceContext>("request", req.arrival_vms);
+    a.trace->SetAttr(nullptr, "id", std::to_string(req.id));
+    a.trace->SetAttr(nullptr, "skill", req.skill);
+    if (!req.tenant.empty()) a.trace->SetAttr(nullptr, "tenant", req.tenant);
     obs::Span* queue_span =
-        trace->StartSpan("queue", req.arrival_vms, nullptr);
-    trace->EndSpan(queue_span, work.est_start_vms);
+        a.trace->StartSpan("queue", req.arrival_vms, nullptr);
+    a.trace->EndSpan(queue_span, work.est_start_vms);
   }
 
   // Under kNone/kQueueFull a request can be admitted into a wait longer
   // than its whole budget; it dies in the queue without costing a call.
   if (req.deadline_ms > 0.0 && work.queue_wait_vms >= req.deadline_ms) {
+    Response& r = a.r;
     r.status = common::Status::Timeout(common::StrFormat(
         "deadline %.0fms expired after %.0fms in queue", req.deadline_ms,
         work.queue_wait_vms));
     r.deadline_missed = true;
     r.latency_vms = work.queue_wait_vms;
-    if (trace != nullptr) {
-      trace->SetAttr(nullptr, "outcome", "queue_deadline");
-      trace->EndSpan(nullptr, work.est_start_vms);
-      r.trace = trace;
+    if (a.trace != nullptr) {
+      a.trace->SetAttr(nullptr, "outcome", "queue_deadline");
+      a.trace->EndSpan(nullptr, work.est_start_vms);
+      r.trace = a.trace;
     }
     clock_.AdvanceTo(work.est_start_vms);
     ResolveFlight(work.group, r, work.est_start_vms);
     PushResponse(std::move(r), work.tenant_state);
-    return;
+    return std::nullopt;
   }
 
-  llm::Prompt prompt = llm::MakePrompt(req.skill, req.input);
+  a.prompt = llm::MakePrompt(req.skill, req.input);
   // Per-request salt: two requests with identical text are still
   // independent draws, and reruns of the same id reproduce exactly.
-  prompt.sample_salt = req.id * 1000003ull + 7;
-  prompt.tenant_id = req.tenant;
-  std::shared_ptr<llm::Deadline> deadline;
+  a.prompt.sample_salt = req.id * 1000003ull + 7;
+  a.prompt.tenant_id = req.tenant;
   if (req.deadline_ms > 0.0) {
-    deadline =
+    a.prompt.deadline =
         std::make_shared<llm::Deadline>(req.deadline_ms - work.queue_wait_vms);
-    prompt.deadline = deadline;
   }
-
-  obs::Span* attempt_span = nullptr;
-  if (trace != nullptr) {
-    attempt_span = trace->StartSpan("attempt", work.est_start_vms, nullptr);
-    prompt.trace = trace;
-    prompt.trace_parent = attempt_span;
+  if (a.trace != nullptr) {
+    a.attempt_span = a.trace->StartSpan("attempt", work.est_start_vms, nullptr);
+    a.prompt.trace = a.trace;
+    a.prompt.trace_parent = a.attempt_span;
   }
-  llm::UsageMeter primary_meter;
-  auto primary = model_->CompleteMetered(prompt, &primary_meter);
-  double primary_finish =
-      primary.ok() ? primary->latency_ms : options_.failed_attempt_penalty_ms;
-  if (attempt_span != nullptr) {
-    trace->SetAttr(attempt_span, "result", primary.ok() ? "ok" : "error");
-    trace->EndSpan(attempt_span, work.est_start_vms + primary_finish);
-  }
-  FinishExecute(work, std::move(r), trace, prompt, std::move(primary),
-                primary_finish, primary_meter);
+  return a;
 }
 
-void Server::FinishExecute(const Work& work, Response r,
-                           const std::shared_ptr<obs::TraceContext>& trace,
-                           const llm::Prompt& prompt,
+void Server::FinishExecute(Attempt attempt,
                            common::Result<llm::Completion> primary,
-                           double primary_finish,
                            llm::UsageMeter& primary_meter) {
+  const Work& work = *attempt.work;
   const Request& req = work.request;
+  const std::shared_ptr<obs::TraceContext>& trace = attempt.trace;
+  Response& r = attempt.r;
+  double primary_finish =
+      primary.ok() ? primary->latency_ms : kFailedAttemptPenaltyMs;
+  if (attempt.attempt_span != nullptr) {
+    trace->SetAttr(attempt.attempt_span, "result",
+                   primary.ok() ? "ok" : "error");
+    trace->EndSpan(attempt.attempt_span, work.est_start_vms + primary_finish);
+  }
   bool hedge = options_.hedging &&
                (!primary.ok() || primary_finish > work.hedge_trigger_vms);
   if (!hedge) {
     meter_.MergeFrom(primary_meter);
-    if (primary.ok()) BookPrefixReuse(*primary);
+    BookPrefixReuse(primary_meter);
     r.service_vms = primary_finish;
     r.latency_vms = work.queue_wait_vms + r.service_vms;
     if (primary.ok()) {
@@ -770,8 +633,8 @@ void Server::FinishExecute(const Work& work, Response r,
   // raced; the earliest virtual finish wins and the loser is cancelled —
   // too late to recover its spend, which is the price of tail-cutting.
   double hedge_start = std::min(work.hedge_trigger_vms, primary_finish);
-  llm::Prompt hedge_prompt = prompt;
-  hedge_prompt.sample_salt = prompt.sample_salt + 1;
+  llm::Prompt hedge_prompt = attempt.prompt;
+  hedge_prompt.sample_salt = attempt.prompt.sample_salt + 1;
   obs::Span* hedge_span = nullptr;
   if (trace != nullptr) {
     hedge_span =
@@ -783,7 +646,7 @@ void Server::FinishExecute(const Work& work, Response r,
   auto hedged = hedge_model_->CompleteMetered(hedge_prompt, &hedge_meter);
   double hedge_finish = hedged.ok()
                             ? hedge_start + hedged->latency_ms
-                            : hedge_start + options_.failed_attempt_penalty_ms;
+                            : hedge_start + kFailedAttemptPenaltyMs;
   if (hedge_span != nullptr) {
     trace->SetAttr(hedge_span, "result", hedged.ok() ? "ok" : "error");
     trace->EndSpan(hedge_span, work.est_start_vms + hedge_finish);
@@ -799,7 +662,7 @@ void Server::FinishExecute(const Work& work, Response r,
   const llm::UsageMeter& loser_meter = r.hedge_won ? primary_meter : hedge_meter;
 
   meter_.MergeFrom(winner_meter);
-  if (!r.hedge_won && primary.ok()) BookPrefixReuse(*primary);
+  BookPrefixReuse(winner_meter);
   if (any_ok) {
     r.status = common::Status::Ok();
     r.text = winner->text;
@@ -827,87 +690,23 @@ void Server::FinishExecute(const Work& work, Response r,
   PushResponse(std::move(r), work.tenant_state);
 }
 
-void Server::BookPrefixReuse(const llm::Completion& completion) {
-  if (completion.prefix_cached_tokens == 0) return;
-  auto price = [](common::Money per_1k, size_t tokens) {
-    return common::Money::FromMicros(per_1k.micros() *
-                                     static_cast<int64_t>(tokens) / 1000);
-  };
-  common::Money saved =
-      price(model_->spec().input_price_per_1k, completion.input_tokens) +
-      price(model_->spec().output_price_per_1k, completion.output_tokens) -
-      completion.cost;
-  metrics_.batch_prefix_cached_tokens->Add(completion.prefix_cached_tokens);
+void Server::BookPrefixReuse(const llm::UsageMeter& winner_meter) {
+  const llm::UsageMeter::BatchStats batch = winner_meter.batch_stats();
+  if (batch.prefix_cached_tokens == 0) return;
+  metrics_.batch_prefix_cached_tokens->Add(batch.prefix_cached_tokens);
   metrics_.batch_prefix_saved_micros->Add(
-      static_cast<uint64_t>(saved.micros()));
+      static_cast<uint64_t>(batch.prefix_saved.micros()));
 }
 
 void Server::ExecuteBatch(const std::vector<Work>& members) {
-  // Per-member admission-time setup first, so queue-deadline deaths drop
-  // out before the model sees the batch — a dead request never ran prefill,
-  // so it must not seed the prefix trie for later members either.
-  struct Member {
-    const Work* work = nullptr;
-    Response r;
-    std::shared_ptr<obs::TraceContext> trace;
-    obs::Span* attempt_span = nullptr;
-    llm::Prompt prompt;
-  };
-  std::vector<Member> live;
+  // Per-member prologue first, so queue-deadline deaths drop out before the
+  // model sees the batch — a dead request never ran prefill, so it must not
+  // seed the prefix trie for later members either.
+  std::vector<Attempt> live;
   live.reserve(members.size());
   for (const Work& work : members) {
-    const Request& req = work.request;
-    Response r;
-    r.id = req.id;
-    r.tenant = req.tenant;
-    r.queue_wait_vms = work.queue_wait_vms;
-
-    std::shared_ptr<obs::TraceContext> trace;
-    if (options_.tracing) {
-      trace = std::make_shared<obs::TraceContext>("request", req.arrival_vms);
-      trace->SetAttr(nullptr, "id", std::to_string(req.id));
-      trace->SetAttr(nullptr, "skill", req.skill);
-      if (!req.tenant.empty()) trace->SetAttr(nullptr, "tenant", req.tenant);
-      obs::Span* queue_span =
-          trace->StartSpan("queue", req.arrival_vms, nullptr);
-      trace->EndSpan(queue_span, work.est_start_vms);
-    }
-
-    if (req.deadline_ms > 0.0 && work.queue_wait_vms >= req.deadline_ms) {
-      r.status = common::Status::Timeout(common::StrFormat(
-          "deadline %.0fms expired after %.0fms in queue", req.deadline_ms,
-          work.queue_wait_vms));
-      r.deadline_missed = true;
-      r.latency_vms = work.queue_wait_vms;
-      if (trace != nullptr) {
-        trace->SetAttr(nullptr, "outcome", "queue_deadline");
-        trace->EndSpan(nullptr, work.est_start_vms);
-        r.trace = trace;
-      }
-      clock_.AdvanceTo(work.est_start_vms);
-      ResolveFlight(work.group, r, work.est_start_vms);
-      PushResponse(std::move(r), work.tenant_state);
-      continue;
-    }
-
-    Member m;
-    m.work = &work;
-    m.r = std::move(r);
-    m.trace = std::move(trace);
-    m.prompt = llm::MakePrompt(req.skill, req.input);
-    m.prompt.sample_salt = req.id * 1000003ull + 7;
-    m.prompt.tenant_id = req.tenant;
-    if (req.deadline_ms > 0.0) {
-      m.prompt.deadline = std::make_shared<llm::Deadline>(req.deadline_ms -
-                                                          work.queue_wait_vms);
-    }
-    if (m.trace != nullptr) {
-      m.attempt_span =
-          m.trace->StartSpan("attempt", work.est_start_vms, nullptr);
-      m.prompt.trace = m.trace;
-      m.prompt.trace_parent = m.attempt_span;
-    }
-    live.push_back(std::move(m));
+    std::optional<Attempt> attempt = BeginAttempt(work);
+    if (attempt) live.push_back(std::move(*attempt));
   }
 
   // One model invocation for the whole batch: the endpoint prices each
@@ -915,7 +714,7 @@ void Server::ExecuteBatch(const std::vector<Work>& members) {
   // degrades to per-call behaviour (base LlmModel).
   std::vector<llm::Prompt> prompts;
   prompts.reserve(live.size());
-  for (const Member& m : live) prompts.push_back(m.prompt);
+  for (const Attempt& a : live) prompts.push_back(a.prompt);
   std::vector<common::Result<llm::Completion>> results =
       model_->CompleteBatch(prompts);
   meter_.RecordBatchClose(model_->spec().name, live.size());
@@ -925,18 +724,11 @@ void Server::ExecuteBatch(const std::vector<Work>& members) {
                                      static_cast<int64_t>(tokens) / 1000);
   };
   for (size_t i = 0; i < live.size(); ++i) {
-    Member& m = live[i];
     common::Result<llm::Completion> primary =
         i < results.size()
             ? std::move(results[i])
             : common::Result<llm::Completion>(
                   common::Status::Internal("batch result missing"));
-    double primary_finish = primary.ok() ? primary->latency_ms
-                                         : options_.failed_attempt_penalty_ms;
-    if (m.attempt_span != nullptr) {
-      m.trace->SetAttr(m.attempt_span, "result", primary.ok() ? "ok" : "error");
-      m.trace->EndSpan(m.attempt_span, m.work->est_start_vms + primary_finish);
-    }
     // Batched calls come back unmetered (see LlmModel::CompleteBatch): meter
     // this member into its own scratch ledger, prefix discount itemized, so
     // the winner-commit hedge accounting in FinishExecute stays per request.
@@ -948,9 +740,9 @@ void Server::ExecuteBatch(const std::vector<Work>& members) {
       if (primary->prefix_cached_tokens > 0) {
         // Exact by construction: re-pricing the same token counts at list
         // makes discounted cost + saved == the unbatched call's cost. Goes
-        // into the scratch meter only — the registry counters are bumped at
-        // commit time (BookPrefixReuse), so ledger and counters agree even
-        // when a hedge steals this member's win.
+        // into the scratch meter only — FinishExecute books the registry
+        // counters from whichever meter it commits, so ledger and counters
+        // agree even when a hedge steals this member's win.
         common::Money undiscounted =
             price(model_->spec().input_price_per_1k, primary->input_tokens) +
             price(model_->spec().output_price_per_1k, primary->output_tokens);
@@ -959,8 +751,7 @@ void Server::ExecuteBatch(const std::vector<Work>& members) {
             primary->model, primary->prefix_cached_tokens, saved);
       }
     }
-    FinishExecute(*m.work, std::move(m.r), m.trace, m.prompt,
-                  std::move(primary), primary_finish, primary_meter);
+    FinishExecute(std::move(live[i]), std::move(primary), primary_meter);
   }
 }
 
@@ -1124,7 +915,6 @@ ServerStats Server::stats() const {
   s.admitted = metrics_.admitted->value();
   s.shed = metrics_.shed->value();
   s.coalesced = metrics_.coalesced->value();
-  s.cache_probe_hits = metrics_.cache_probe_hits->value();
   s.batches_closed = metrics_.batch_closed_size->value() +
                      metrics_.batch_closed_window->value() +
                      metrics_.batch_closed_drain->value();
@@ -1166,7 +956,6 @@ std::vector<TenantStats> Server::tenant_stats() const {
     t.submitted = ts->submitted->value();
     t.admitted = ts->admitted->value();
     t.coalesced = ts->coalesced->value();
-    t.cache_probe_hits = ts->cache_probe_hits->value();
     t.shed_quota = ts->shed_quota->value();
     t.shed_queue = ts->shed_queue->value();
     t.completed = ts->completed->value();

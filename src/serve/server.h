@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -42,9 +43,9 @@ enum class ShedPolicy {
   kDeadlineAware,
 };
 
-/// Admission priority. Batch traffic is confined to a fraction of the queue
-/// so it can never crowd out interactive requests; interactive traffic gets
-/// reserved headroom above the nominal depth.
+/// Admission priority. Batch traffic is confined to half of the queue so it
+/// can never crowd out interactive requests; interactive traffic gets a
+/// quarter of queue_depth reserved as headroom above the nominal depth.
 enum class Priority { kBatch, kNormal, kInteractive };
 
 /// Why a request was refused at the door. Distinguishing the causes matters
@@ -108,24 +109,6 @@ struct Response {
   std::shared_ptr<obs::TraceContext> trace;
 };
 
-/// Per-request outcome of a batched admission-time cache probe (see
-/// Server::Options::batch_probe). A hit short-circuits admission entirely:
-/// the request is answered on the submitting thread with `response`/`model`
-/// at zero cost, never touching the virtual queue or the endpoint.
-struct BatchProbeOutcome {
-  bool hit = false;
-  std::string response;
-  std::string model;
-};
-
-/// Batched cache probe: called once per SubmitBatch with the whole batch
-/// (arrival order preserved), returns one outcome per request. Batching lets
-/// the probe amortize embedding + distance evaluation across the batch
-/// (SemanticCache::LookupBatch packs the query embeddings into one arena and
-/// runs the SIMD distance kernels over it). See optimize::MakeBatchCacheProbe.
-using BatchCacheProbe =
-    std::function<std::vector<BatchProbeOutcome>(const std::vector<const Request*>&)>;
-
 /// Aggregate serving metrics, valid after Drain().
 struct ServerStats {
   size_t submitted = 0;
@@ -138,10 +121,6 @@ struct ServerStats {
   size_t hedge_wins = 0;
   /// Requests collapsed onto an identical in-flight call (single-flight).
   size_t coalesced = 0;
-  /// Requests answered by the admission-time batched cache probe
-  /// (Options::batch_probe) — served at zero cost without entering the
-  /// virtual queue. Counted in both submitted and admitted.
-  size_t cache_probe_hits = 0;
   /// Continuous batching (Options::batching): model-boundary batches closed
   /// and the requests they carried.
   size_t batches_closed = 0;
@@ -170,9 +149,6 @@ struct TenantStats {
   size_t submitted = 0;
   size_t admitted = 0;   // includes coalesced followers
   size_t coalesced = 0;
-  /// Requests answered by the admission-time batch cache probe on this
-  /// tenant's behalf (counted in admitted, charged against its quota).
-  size_t cache_probe_hits = 0;
   size_t shed_quota = 0;
   size_t shed_queue = 0;
   size_t completed = 0;
@@ -191,6 +167,12 @@ struct TenantStats {
 /// A multi-threaded request scheduler in front of one (typically resilient)
 /// LLM endpoint: bounded admission queue, deadline/priority-aware load
 /// shedding, and hedged requests.
+///
+/// Shape: Submit() is the only way in. It runs one of two admission
+/// policies — the single shared queue, or per-tenant QoS when Options::qos
+/// has tenants — and both end in the same dispatch step. Every admitted
+/// request then runs through one execute path (prologue, model call, hedge
+/// and commit), whether it is called alone or as a member of a closed batch.
 ///
 /// Determinism: admission decisions are made synchronously in Submit(),
 /// in arrival order, against a virtual queue model fed by *estimated*
@@ -243,17 +225,9 @@ class Server {
     /// Waiting-request bound for kQueueFull / kDeadlineAware.
     size_t queue_depth = 32;
     ShedPolicy shed_policy = ShedPolicy::kQueueFull;
-    /// Fraction of queue_depth usable by Priority::kBatch requests.
-    double batch_queue_fraction = 0.5;
-    /// Extra headroom (fraction of queue_depth) reserved for
-    /// Priority::kInteractive requests once the nominal queue is full.
-    double interactive_reserve_fraction = 0.25;
     bool hedging = false;
     /// Estimated-service-time percentile after which a hedge launches.
     double hedge_percentile = 0.95;
-    /// Virtual ms a failed attempt is deemed to have occupied its slot
-    /// (timeouts and retry storms burn time even when nothing is returned).
-    double failed_attempt_penalty_ms = 1000.0;
     /// Expected completion length used in service-time estimation.
     size_t est_output_tokens = 48;
     /// Single-flight request coalescing: a request whose (skill, input)
@@ -306,22 +280,14 @@ class Server {
     /// admission while it runs.
     double maintenance_interval_vms = 0.0;
     std::function<void()> maintenance_hook;
-    /// Admission-time batched cache probe, consulted by SubmitBatch() before
-    /// admission. Runs once per batch on the submitting thread, so hit/miss
-    /// decisions stay in arrival order and are as deterministic as admission
-    /// itself. Hits are answered immediately (status Ok, zero cost, one
-    /// virtual ms of service); misses fall through to the normal Submit()
-    /// path. Null (the default) makes SubmitBatch() a plain loop over
-    /// Submit(). Wire a SemanticCache in with optimize::MakeBatchCacheProbe.
-    BatchCacheProbe batch_probe;
     /// Completion sink for push-style consumers (the network front door):
     /// called exactly once per response — shed refusals included, so offered
     /// load == sink calls — after the response's metrics are recorded.
-    /// Sheds and cache-probe hits invoke it on the submitting thread (for
-    /// sheds: under the admission lock), completions on a worker thread, so
-    /// the sink must be thread-safe, bounded, and must never call back into
-    /// Submit()/Drain(). Also settable after construction via
-    /// set_response_sink() (e.g. by net::NetServer, which outlives neither).
+    /// Sheds invoke it on the submitting thread under the admission lock,
+    /// completions on a worker thread, so the sink must be thread-safe,
+    /// bounded, and must never call back into Submit()/Drain(). Also
+    /// settable after construction via set_response_sink() (e.g. by
+    /// net::NetServer, which outlives neither).
     std::function<void(const Response&)> response_sink;
     /// Retain every response for Drain(). A long-running server draining
     /// responses through response_sink instead sets this false so memory
@@ -332,9 +298,8 @@ class Server {
     /// Multi-tenant QoS: configuring at least one tenant switches admission
     /// from the single shared queue to per-tenant token-bucket quotas +
     /// weighted-fair (deficit-round-robin) queuing with priority aging —
-    /// see qos.h and the class comment. In QoS mode shed_policy's queue
-    /// carve-outs (batch_queue_fraction / interactive_reserve_fraction) are
-    /// superseded by per-tenant queue shares.
+    /// see qos.h and the class comment. In QoS mode shed_policy's priority
+    /// carve-outs (see Priority) are superseded by per-tenant queue shares.
     QosOptions qos;
   };
 
@@ -353,14 +318,6 @@ class Server {
   /// Shed requests are answered immediately; admitted ones complete on a
   /// worker thread. Not callable after Drain().
   void Submit(const Request& request);
-
-  /// Batched submission: when Options::batch_probe is set, probes the whole
-  /// batch once (amortizing embedding + distance work across it), answers
-  /// hits immediately at zero cost, and Submit()s the misses in arrival
-  /// order. Without a probe this is exactly a loop over Submit(). The same
-  /// ordering contract applies: batches (and the requests within them) must
-  /// arrive in non-decreasing `arrival_vms` order.
-  void SubmitBatch(const std::vector<Request>& batch);
 
   /// Waits for all admitted work, stops the workers, and returns every
   /// response sorted by request id. Call once.
@@ -395,7 +352,6 @@ class Server {
   /// workers blocking on `cv`.
   struct FlightGroup {
     // Admission-time (admission_mu_).
-    uint64_t leader_id = 0;
     double est_finish_vms = 0.0;  // leader est_start + est_service
 
     // Completion (mu/cv).
@@ -419,7 +375,6 @@ class Server {
     obs::Counter* submitted = nullptr;
     obs::Counter* admitted = nullptr;
     obs::Counter* coalesced = nullptr;
-    obs::Counter* cache_probe_hits = nullptr;
     obs::Counter* shed_quota = nullptr;
     obs::Counter* shed_queue = nullptr;
     obs::Counter* completed = nullptr;
@@ -434,9 +389,9 @@ class Server {
   struct Work {
     Request request;
     double est_start_vms = 0.0;
-    double est_service_vms = 0.0;
     double queue_wait_vms = 0.0;
-    double hedge_trigger_vms = 0.0;  // service latency that launches a hedge
+    /// Service latency that launches a hedge (set only when hedging is on).
+    double hedge_trigger_vms = 0.0;
     /// Single-flight: the flight this work leads (coalesced_follower false)
     /// or rides (true). Null when coalescing is off or nothing coalesced.
     std::shared_ptr<FlightGroup> group;
@@ -477,7 +432,6 @@ class Server {
     obs::Counter* admitted = nullptr;
     obs::Counter* shed = nullptr;
     obs::Counter* coalesced = nullptr;
-    obs::Counter* cache_probe_hits = nullptr;
     obs::Counter* completed = nullptr;
     obs::Counter* failed = nullptr;
     obs::Counter* deadline_missed = nullptr;
@@ -498,27 +452,34 @@ class Server {
     obs::Histogram* batch_occupancy = nullptr;
   };
 
+  /// An admitted request that outlived its queue wait, ready for its
+  /// primary model call.
+  struct Attempt {
+    const Work* work = nullptr;
+    Response r;  // id, tenant and queue wait filled
+    std::shared_ptr<obs::TraceContext> trace;  // null unless tracing
+    obs::Span* attempt_span = nullptr;
+    llm::Prompt prompt;
+  };
+
   void WorkerLoop();
   void Execute(const Work& work);
-  /// Executes one closed batch: per-member trace/queue-deadline/prompt
-  /// setup, one CompleteBatch over the surviving members, then the shared
-  /// per-member tail (FinishExecute) with the batch's discounted
-  /// completions.
+  /// Executes one closed batch: the per-member prologue (BeginAttempt), one
+  /// CompleteBatch over the surviving members, then the per-member tail
+  /// (FinishExecute) with the batch's discounted completions.
   void ExecuteBatch(const std::vector<Work>& members);
-  /// Shared post-model-call tail of Execute/ExecuteBatch: hedge race,
-  /// winner-commit metering, response assembly and publication. `r` arrives
-  /// with id/tenant/queue_wait filled; `primary_finish` is the primary
-  /// attempt's virtual service time.
-  void FinishExecute(const Work& work, Response r,
-                     const std::shared_ptr<obs::TraceContext>& trace,
-                     const llm::Prompt& prompt,
-                     common::Result<llm::Completion> primary,
-                     double primary_finish, llm::UsageMeter& primary_meter);
-  /// Bumps the llmdm_batch_prefix_* counters for a committed batched
-  /// completion. Called at commit time (FinishExecute), not batch-execution
-  /// time, so the counters equal the meter's winner-committed BatchStats
-  /// ledger even when a hedge steals the member's win.
-  void BookPrefixReuse(const llm::Completion& completion);
+  /// Shared prologue of Execute/ExecuteBatch: root trace and queue span,
+  /// then either the queue-deadline death (answered here; returns nullopt)
+  /// or the prompt (salt, tenant, remaining deadline) and attempt span.
+  std::optional<Attempt> BeginAttempt(const Work& work);
+  /// Shared post-model-call tail of Execute/ExecuteBatch: attempt span end,
+  /// hedge race, winner-commit metering, response assembly and publication.
+  void FinishExecute(Attempt attempt, common::Result<llm::Completion> primary,
+                     llm::UsageMeter& primary_meter);
+  /// Bumps the llmdm_batch_prefix_* counters from the meter being
+  /// committed, so the counters equal the meter's winner-committed
+  /// BatchStats ledger even when a hedge steals a batch member's win.
+  void BookPrefixReuse(const llm::UsageMeter& winner_meter);
   /// Routes admitted work to the worker queue, or parks it in the open
   /// batch when batching is on (admission_mu_ held).
   void EnqueueWork(Work work);
@@ -536,14 +497,26 @@ class Server {
   static void ResolveFlight(const std::shared_ptr<FlightGroup>& group,
                             const Response& response, double finish_vms);
   double EstimateTokens(const Request& request) const;
-  double EstimateServiceVms(const Request& request) const;
+  double EstimateServiceVms(double est_tokens) const;
   void PushResponse(Response response, TenantState* tenant_state = nullptr);
 
+  /// Single-flight (admission_mu_ held): when an identical call is still in
+  /// flight at this arrival, admits the request as its follower and returns
+  /// true. Both admission paths ask this before any shed check.
+  bool TryCoalesce(const Request& request, TenantState* tenant_state);
+  /// Hands a request whose virtual start is fixed to the workers
+  /// (admission_mu_ held): hedge trigger, leader-flight registration, then
+  /// EnqueueWork. Both admission paths end here.
+  void Dispatch(Request request, double est_start_vms, double est_service_vms,
+                TenantState* tenant_state);
+  /// Answers a request refused at the door (admission_mu_ held).
+  void Shed(const Request& request, ShedCause cause, const std::string& reason,
+            double retry_after_vms);
   /// QoS admission path (admission_mu_ held): quota + queue-share check,
   /// then park in the tenant FIFO and let the virtual dispatcher run.
   void SubmitQos(const Request& request);
   /// Plays virtual dispatch up to now_vms and hands every dispatched
-  /// request to the worker pool (admission_mu_ held).
+  /// request to Dispatch (admission_mu_ held).
   void DispatchReadyQos(double now_vms);
   TenantState* ResolveTenant(const TenantId& id);
 
@@ -566,7 +539,8 @@ class Server {
   std::vector<double> slot_free_vms_;  // per virtual slot
   std::priority_queue<double, std::vector<double>, std::greater<double>>
       pending_starts_;                  // est_start of not-yet-started work
-  std::vector<double> est_services_;    // admitted est service times, sorted
+  /// Admitted est service times, sorted; kept only when hedging is on.
+  std::vector<double> est_services_;
   /// Next virtual-time boundary at which the maintenance hook fires.
   double next_maintenance_vms_ = 0.0;
   bool draining_ = false;

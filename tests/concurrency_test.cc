@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "core/optimize/batch_probe.h"
 #include "core/optimize/semantic_cache.h"
 #include "llm/deadline.h"
 #include "llm/fault_injection.h"
@@ -582,8 +581,7 @@ TEST(Serve, BatchConfinedToItsQueueShareUnderOverload) {
   serve::Server::Options options;
   options.worker_threads = 4;
   options.virtual_concurrency = 1;
-  options.queue_depth = 8;
-  options.batch_queue_fraction = 0.25;
+  options.queue_depth = 8;  // batch may fill 4 slots, interactive 10
   options.shed_policy = serve::ShedPolicy::kQueueFull;
   serve::Server server(MakeModel("sim-serve", 2000.0, 3), options);
   size_t batch_total = 0, interactive_total = 0;
@@ -803,34 +801,6 @@ TEST(Serve, HedgingCutsTheTailAndBooksCancelledSpend) {
   EXPECT_EQ(plain.hedges_launched, 0u);
 }
 
-TEST(Serve, SubmitBatchWithoutProbeMatchesSubmitLoop) {
-  auto run = [&](bool batched) {
-    serve::Server::Options options;
-    options.worker_threads = 4;
-    options.shed_policy = serve::ShedPolicy::kNone;
-    serve::Server server(MakeModel("sim-serve", 100.0, 3), options);
-    std::vector<serve::Request> batch;
-    for (size_t i = 0; i < 60; ++i) {
-      batch.push_back(MakeRequest(i, static_cast<double>(i) * 2.0,
-                                  common::StrFormat("q %zu", i % 20)));
-    }
-    if (batched) {
-      server.SubmitBatch(batch);
-    } else {
-      for (const auto& req : batch) server.Submit(req);
-    }
-    std::string log;
-    for (const auto& r : server.Drain()) {
-      log += common::StrFormat("%llu %d %.3f %lld %s\n",
-                               (unsigned long long)r.id, r.status.ok() ? 1 : 0,
-                               r.latency_vms, (long long)r.cost.micros(),
-                               r.text.c_str());
-    }
-    return log;
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
 // ---- Continuous batching ----------------------------------------------------
 
 std::shared_ptr<llm::SimulatedLlm> MakeBatchModel(const std::string& name,
@@ -1016,142 +986,6 @@ TEST(ServeBatching, SpendConservedUnderCoalescingAndHedging) {
   EXPECT_EQ(server.meter().batch_stats().prefix_cached_tokens,
             s.prefix_cached_tokens);
   EXPECT_EQ(server.meter().batch_stats().prefix_saved, s.prefix_saved);
-}
-
-TEST(ServeQos, SubmitBatchProbeHitsChargeTenantLedger) {
-  // Satellite 1 regression: a batch-probe hit must hit the tenant's books —
-  // submitted, admitted, the {tenant=...} hit counter, and the quota
-  // bucket — exactly like an admitted request, so a tenant cannot dodge its
-  // quota by arriving through SubmitBatch with a warm cache. Parity target:
-  // an equivalent Submit loop (no probe; every request is admitted and
-  // charged), which must see the same admission/shed accounting.
-  auto tenant_row = [](serve::Server& server, const std::string& id) {
-    for (const auto& t : server.tenant_stats()) {
-      if (t.tenant == id) return t;
-    }
-    return serve::TenantStats{};
-  };
-  auto make_options = [] {
-    serve::Server::Options options;
-    options.worker_threads = 4;
-    options.queue_depth = 256;  // ample share: only quota can shed
-    options.shed_policy = serve::ShedPolicy::kQueueFull;
-    serve::TenantConfig metered;
-    metered.id = "metered";
-    metered.weight = 1.0;
-    metered.queue_limit = 256;
-    // Burst covers roughly three requests' estimates, refill is a trickle:
-    // the fourth-and-later arrivals must shed on quota in BOTH paths.
-    metered.quota_tokens_per_vs = 0.01;
-    metered.quota_burst_tokens = 180.0;
-    options.qos.tenants = {metered};
-    return options;
-  };
-  auto make_workload = [] {
-    std::vector<serve::Request> batch;
-    for (size_t i = 0; i < 10; ++i) {
-      serve::Request req = MakeRequest(i, static_cast<double>(i) * 1.0,
-                                       common::StrFormat("warm query %zu", i));
-      req.tenant = "metered";
-      batch.push_back(req);
-    }
-    return batch;
-  };
-
-  // Path A: SubmitBatch through a probe whose cache answers everything.
-  auto model = MakeModel("sim-serve", 100.0, 3);
-  optimize::SemanticCache::Options copts;
-  copts.similarity_threshold = 0.99;
-  copts.capacity = 256;
-  optimize::SemanticCache cache(copts);
-  for (size_t i = 0; i < 10; ++i) {
-    cache.Insert(common::StrFormat("warm query %zu", i), "cached answer",
-                 common::Money::FromDollars(0.001));
-  }
-  serve::Server::Options options = make_options();
-  options.batch_probe = optimize::MakeBatchCacheProbe(&cache, model->spec());
-  serve::Server probed(model, options);
-  probed.SubmitBatch(make_workload());
-  (void)probed.Drain();
-  serve::TenantStats a = tenant_row(probed, "metered");
-
-  // Path B: the same workload through a plain Submit loop (no probe).
-  serve::Server plain(MakeModel("sim-serve", 100.0, 3), make_options());
-  for (const auto& req : make_workload()) plain.Submit(req);
-  (void)plain.Drain();
-  serve::TenantStats b = tenant_row(plain, "metered");
-
-  // The probe really answered the admitted requests...
-  EXPECT_GT(a.cache_probe_hits, 0u);
-  EXPECT_EQ(a.cache_probe_hits, a.admitted);
-  EXPECT_EQ(b.cache_probe_hits, 0u);
-  // ...and the admission-side books are identical: same submissions, same
-  // admissions, and — the heart of the bug — the same quota sheds, because
-  // hits drain the bucket exactly like admitted calls.
-  EXPECT_EQ(a.submitted, b.submitted);
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.shed_quota, b.shed_quota);
-  EXPECT_GT(a.shed_quota, 0u);
-  EXPECT_EQ(a.shed_queue, 0u);
-  EXPECT_EQ(b.shed_queue, 0u);
-}
-
-TEST(Serve, SubmitBatchProbeAnswersHitsAtZeroCostDeterministically) {
-  // A semantic cache warmed with half the batch's queries, wired in through
-  // the batched probe: hits must be answered at zero cost with the cached
-  // text and "+cache" model label, misses must reach the model — and the
-  // id-sorted outcome must be byte-identical across runs and worker counts.
-  auto run = [&](size_t worker_threads) {
-    auto model = MakeModel("sim-serve", 100.0, 3);
-    optimize::SemanticCache::Options copts;
-    copts.similarity_threshold = 0.99;
-    copts.capacity = 256;
-    copts.quantize = true;  // the int8 shard path under the probe
-    optimize::SemanticCache cache(copts);
-    for (size_t i = 0; i < 30; ++i) {
-      cache.Insert(common::StrFormat("warm query %zu", i), "cached answer",
-                   common::Money::FromDollars(0.001));
-    }
-    serve::Server::Options options;
-    options.worker_threads = worker_threads;
-    options.shed_policy = serve::ShedPolicy::kNone;
-    options.batch_probe = optimize::MakeBatchCacheProbe(&cache, model->spec());
-    serve::Server server(model, options);
-    std::vector<serve::Request> batch;
-    for (size_t i = 0; i < 60; ++i) {
-      // Even ids were pre-cached; odd ids are cold.
-      std::string text = (i % 2 == 0)
-                             ? common::StrFormat("warm query %zu", i / 2)
-                             : common::StrFormat("cold query %zu", i);
-      batch.push_back(MakeRequest(i, static_cast<double>(i) * 2.0, text));
-    }
-    server.SubmitBatch(batch);
-    auto responses = server.Drain();
-    auto stats = server.stats();
-    EXPECT_EQ(stats.submitted, 60u);
-    EXPECT_EQ(stats.admitted, 60u);
-    EXPECT_EQ(stats.cache_probe_hits, 30u);
-    std::string log;
-    for (const auto& r : responses) {
-      EXPECT_TRUE(r.status.ok()) << r.status.message();
-      if (r.id % 2 == 0) {
-        EXPECT_EQ(r.text, "cached answer");
-        EXPECT_EQ(r.model, "sim-serve+cache");
-        EXPECT_EQ(r.cost, common::Money::Zero());
-        EXPECT_EQ(r.latency_vms, 1.0);
-      } else {
-        EXPECT_NE(r.model, "sim-serve+cache");
-      }
-      log += common::StrFormat("%llu %.3f %lld %s %s\n",
-                               (unsigned long long)r.id, r.latency_vms,
-                               (long long)r.cost.micros(), r.model.c_str(),
-                               r.text.c_str());
-    }
-    return log;
-  };
-  std::string one = run(1);
-  EXPECT_EQ(one, run(4));
-  EXPECT_EQ(one, run(8));
 }
 
 }  // namespace

@@ -9,10 +9,13 @@
 #include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -709,19 +712,28 @@ TEST(NetLoopback, DuplicateInFlightIdRefused) {
 
 // A client speaking garbage gets one best-effort error frame and then its
 // connection closed, and the metric records why.
-TEST(NetLoopback, ProtocolGarbageClosesTheConnection) {
-  LoopbackHarness harness;
-  int fd = ConnectRaw(harness.server().port());
-  WriteAll(fd, "GET / HTTP/1.1\r\nHost: llmdm\r\n\r\n");
+// Reads until the server hangs up. A read error, or 10 s without a byte,
+// ends the reply early and fails the calling test.
+std::string ReadUntilClosed(int fd) {
+  struct timeval timeout = {10, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   std::string reply;
   char buf[4096];
   for (;;) {
     ssize_t n = read(fd, buf, sizeof(buf));
     if (n < 0 && errno == EINTR) continue;
-    ASSERT_GE(n, 0) << strerror(errno);
-    if (n == 0) break;  // the server hung up after its goodbye frame
+    EXPECT_GE(n, 0) << strerror(errno);
+    if (n <= 0) break;
     reply.append(buf, static_cast<size_t>(n));
   }
+  return reply;
+}
+
+TEST(NetLoopback, ProtocolGarbageClosesTheConnection) {
+  LoopbackHarness harness;
+  int fd = ConnectRaw(harness.server().port());
+  WriteAll(fd, "GET / HTTP/1.1\r\nHost: llmdm\r\n\r\n");
+  std::string reply = ReadUntilClosed(fd);
   close(fd);
 
   net::FrameDecoder decoder;
@@ -735,6 +747,80 @@ TEST(NetLoopback, ProtocolGarbageClosesTheConnection) {
   EXPECT_FALSE(decoder.Next(&f));  // nothing after the goodbye
   EXPECT_GE(harness.server().stats().protocol_errors, 1u);
 }
+
+// A request whose arrival_vms or deadline_ms is not a finite non-negative
+// number is a protocol violation like any other malformed frame. Accepted,
+// one +inf arrival would pin NetServer's forward-clamped clock at infinity
+// for every later request on every connection.
+struct BadTimeField {
+  const char* name;
+  bool arrival;  // which field carries `value`: arrival_vms or deadline_ms
+  double value;
+};
+
+// Names the case in the test id instead of dumping the struct's bytes.
+void PrintTo(const BadTimeField& bad, std::ostream* os) { *os << bad.name; }
+
+class NetBadTimeField : public ::testing::TestWithParam<BadTimeField> {};
+
+TEST_P(NetBadTimeField, RefusedAndTheClockStaysFinite) {
+  const BadTimeField& bad = GetParam();
+  LoopbackHarness harness;
+  net::WireRequest poisoned;
+  poisoned.id = 7;
+  poisoned.input = "poisoned clock";
+  (bad.arrival ? poisoned.arrival_vms : poisoned.deadline_ms) = bad.value;
+  int fd = ConnectRaw(harness.server().port());
+  WriteAll(fd, net::EncodeRequestFrame(poisoned));
+  std::string reply = ReadUntilClosed(fd);  // returns once the server hangs up
+  close(fd);
+
+  net::FrameDecoder decoder;
+  ASSERT_TRUE(decoder.Feed(reply).ok());
+  net::Frame f;
+  ASSERT_TRUE(decoder.Next(&f));
+  ASSERT_EQ(f.type, net::FrameType::kError);
+  auto err = net::DecodeError(f.payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->status_code,
+            static_cast<uint8_t>(common::StatusCode::kInvalidArgument));
+  EXPECT_FALSE(decoder.Next(&f));  // nothing after the goodbye
+  EXPECT_EQ(harness.server().stats().protocol_errors, 1u);
+
+  // A well-formed request on a new connection is served exactly as a direct
+  // Submit() of it: its arrival was not clamped up to the refused one.
+  net::WireRequest good = MakeWorkload(1, 0.0, 8)[0];
+  good.arrival_vms = 10.0;
+  net::Client client;
+  ASSERT_TRUE(client.Connect(harness.ClientOptions()).ok());
+  auto over_wire = client.Call(good);
+  ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+  harness.twin().Submit(ToServeRequest(good));
+  std::vector<serve::Response> direct = harness.twin().Drain();
+  ASSERT_EQ(direct.size(), 1u);
+  EXPECT_TRUE(over_wire->status.ok()) << over_wire->status.ToString();
+  EXPECT_TRUE(std::isfinite(over_wire->latency_vms));
+  EXPECT_EQ(over_wire->queue_wait_vms, direct[0].queue_wait_vms);
+  EXPECT_EQ(over_wire->latency_vms, direct[0].latency_vms);
+  EXPECT_EQ(over_wire->text, direct[0].text);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Wire, NetBadTimeField,
+    ::testing::Values(
+        BadTimeField{"ArrivalPlusInf", true,
+                     std::numeric_limits<double>::infinity()},
+        BadTimeField{"ArrivalNaN", true,
+                     std::numeric_limits<double>::quiet_NaN()},
+        BadTimeField{"ArrivalNegative", true, -1.0},
+        BadTimeField{"DeadlinePlusInf", false,
+                     std::numeric_limits<double>::infinity()},
+        BadTimeField{"DeadlineNaN", false,
+                     std::numeric_limits<double>::quiet_NaN()},
+        BadTimeField{"DeadlineNegative", false, -1.0}),
+    [](const ::testing::TestParamInfo<BadTimeField>& info) {
+      return std::string(info.param.name);
+    });
 
 // Satellite: graceful drain. Every request the server accepted before
 // Shutdown() still gets its response flushed, with no forced closes.
