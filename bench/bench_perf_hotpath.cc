@@ -2,7 +2,8 @@
 // fast path this repo actually executes per request — semantic-cache lookup
 // and insert across thread/shard counts, embedder throughput with and
 // without the allocation-free path, ANN vs flat lookup at cache sizes where
-// the scan is the bottleneck, and end-to-end serve QPS with and without
+// the scan is the bottleneck, the NL2SQL grading query (parse + execute of
+// the stadium family's gold SQL), and end-to-end serve QPS with and without
 // single-flight coalescing.
 //
 // Emits machine-readable JSON (default ./BENCH_perf.json, override with
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -26,10 +28,12 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/optimize/semantic_cache.h"
+#include "data/nl2sql_workload.h"
 #include "embed/embedder.h"
 #include "llm/simulated.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
+#include "sql/database.h"
 #include "vectordb/kernels.h"
 
 namespace {
@@ -244,6 +248,49 @@ BenchResult AnnLookup(optimize::CacheIndexKind kind, size_t entries,
   });
 }
 
+// The SQL grading path: the five gold-SQL shapes of the stadium family
+// (single, OR, AND, AND NOT, superlative), parsed and executed through
+// sql::Database on the database the cache workloads grade on (6 stadiums,
+// 45 years, seed 20240706). The year moves with each op.
+BenchResult SqlQueryStadium(size_t ops) {
+  std::vector<int> years;
+  for (int y = 1985; y <= 2029; ++y) years.push_back(y);
+  common::Rng rng(20240706);
+  sql::Database db;
+  if (!db.ExecuteScript(data::BuildStadiumDatabaseScript(6, years, rng))
+           .ok()) {
+    std::fprintf(stderr, "sql_query_stadium: cannot build the database\n");
+    std::exit(1);
+  }
+  std::vector<std::string> queries;
+  for (size_t k = 0; k < years.size(); ++k) {
+    data::EventCondition concert{data::EventKind::kConcert, years[k], false};
+    data::EventCondition meeting{data::EventKind::kSportsMeeting,
+                                 years[(k + 7) % years.size()], false};
+    data::EventCondition most{data::EventKind::kConcert, years[k], true};
+    queries.push_back(
+        data::Nl2SqlQuery{concert, data::Combiner::kNone, {}}.ToGoldSql());
+    for (auto combiner : {data::Combiner::kOr, data::Combiner::kAnd,
+                          data::Combiner::kAndNot}) {
+      queries.push_back(
+          data::Nl2SqlQuery{concert, combiner, meeting}.ToGoldSql());
+    }
+    queries.push_back(
+        data::Nl2SqlQuery{most, data::Combiner::kNone, {}}.ToGoldSql());
+  }
+  for (const std::string& q : queries) {
+    if (!db.Query(q).ok()) {
+      std::fprintf(stderr, "sql_query_stadium: query failed: %s\n",
+                   q.c_str());
+      std::exit(1);
+    }
+  }
+  return RunThreaded("sql_query_stadium", 1, 1, ops, [&](size_t, size_t i) {
+    auto table = db.Query(queries[i % queries.size()]);
+    (void)table;
+  });
+}
+
 // When `metrics_text` is non-null the cell runs against an injected
 // obs::Registry and appends its Prometheus export (one commented section per
 // cell) for the --metrics-out file.
@@ -345,6 +392,8 @@ int main(int argc, char** argv) {
   const size_t kAnnEntries = smoke ? 512 : 4096;
   const size_t kAnnOps = smoke ? 50 : 400;
   const size_t kServeReqs = smoke ? 80 : 400;
+  // Smoke runs each of the 225 distinct queries (5 shapes x 45 years) once.
+  const size_t kSqlOps = smoke ? 225 : 4500;
   // The kernel arena stays L2-resident (1024 x 256 floats = 1 MB) in both
   // modes: the row measures distance-kernel throughput, not DRAM bandwidth —
   // at larger arenas every variant converges on the memory wall and the
@@ -379,6 +428,7 @@ int main(int argc, char** argv) {
       AnnLookup(optimize::CacheIndexKind::kHnsw, kAnnEntries, kAnnOps));
   results.push_back(AnnLookup(optimize::CacheIndexKind::kFlat, kInt8Entries,
                               kInt8Ops, /*quantize=*/true, kInt8Shards));
+  results.push_back(SqlQueryStadium(kSqlOps));
   std::string metrics_text;
   std::string* metrics_collector =
       metrics_out.empty() ? nullptr : &metrics_text;

@@ -25,6 +25,8 @@ constexpr double kInteractiveReserveFraction = 0.25;
 /// Virtual ms a failed attempt is deemed to have occupied its slot (timeouts
 /// and retry storms burn time even when nothing is returned).
 constexpr double kFailedAttemptPenaltyMs = 1000.0;
+/// Single-flight map size below which expired flights are not swept out.
+constexpr size_t kMinFlightSweep = 64;
 
 /// Single-flight identity of a request: its (skill, input).
 uint64_t FlightKey(const Request& request) {
@@ -283,6 +285,15 @@ bool Server::TryCoalesce(const Request& request, TenantState* tenant_state) {
   // no load. Decided here, in arrival order, so coalescing is deterministic
   // across runs and worker counts.
   if (!options_.single_flight) return false;
+  // Forget the flights this arrival has passed. Sweeping only when the map
+  // has doubled since the last sweep costs O(1) amortized per flight and
+  // keeps the map within twice the flights still in the air (or the floor).
+  if (inflight_.size() >= inflight_sweep_at_) {
+    std::erase_if(inflight_, [&](const auto& entry) {
+      return entry.second->est_finish_vms <= request.arrival_vms;
+    });
+    inflight_sweep_at_ = std::max(kMinFlightSweep, 2 * inflight_.size());
+  }
   auto it = inflight_.find(FlightKey(request));
   if (it == inflight_.end() ||
       request.arrival_vms >= it->second->est_finish_vms) {
@@ -320,8 +331,9 @@ void Server::Dispatch(Request request, double est_start_vms,
   }
   if (options_.single_flight) {
     // This request leads a new flight; later identical arrivals inside
-    // [arrival, est_finish) will ride it. Replacing any expired group for
-    // the key keeps the map at one entry per distinct (skill, input).
+    // [arrival, est_finish) will ride it. It replaces any older group for
+    // the key; TryCoalesce's sweep drops it after an arrival passes
+    // est_finish.
     auto group = std::make_shared<FlightGroup>();
     group->est_finish_vms = est_start_vms + est_service_vms;
     inflight_[FlightKey(request)] = group;

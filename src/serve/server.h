@@ -346,6 +346,8 @@ class Server {
   const SimulatedClock& clock() const { return clock_; }
 
  private:
+  friend class ServerTestPeer;  // reads admission state in tests
+
   /// Shared state of one coalesced flight. The admission-side fields are
   /// written once in Submit() under admission_mu_; the completion fields are
   /// published by the leader's worker under `mu` and consumed by follower
@@ -544,11 +546,12 @@ class Server {
   /// Next virtual-time boundary at which the maintenance hook fires.
   double next_maintenance_vms_ = 0.0;
   bool draining_ = false;
-  /// Single-flight: latest flight per (skill, input) hash. Entries expire by
-  /// virtual time (a new arrival past est_finish_vms starts a new flight and
-  /// replaces the old group), so the map holds one entry per distinct key
-  /// seen — bounded by the workload's key diversity.
+  /// Single-flight: latest flight per (skill, input) hash. A flight expires
+  /// once an arrival reaches its est_finish_vms: TryCoalesce refuses it from
+  /// then on (arrivals are non-decreasing), and sweeps it out once the map
+  /// reaches `inflight_sweep_at_` entries.
   std::unordered_map<uint64_t, std::shared_ptr<FlightGroup>> inflight_;
+  size_t inflight_sweep_at_ = 0;
   /// Continuous batching: the accumulating batch (null when none is open).
   std::unique_ptr<OpenBatch> open_batch_;
 

@@ -1,10 +1,12 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "common/string_util.h"
 
@@ -40,8 +42,14 @@ struct EvalContext {
   const EvalContext* parent = nullptr;
 };
 
-bool NameEquals(const std::string& a, const std::string& b) {
-  return common::ToLower(a) == common::ToLower(b);
+// Case-insensitive identifier match, without the two lower-cased copies a
+// ToLower comparison would allocate on every column lookup.
+bool NameEquals(std::string_view a, std::string_view b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](unsigned char x, unsigned char y) {
+                      return std::tolower(x) == std::tolower(y);
+                    });
 }
 
 // SQL LIKE with % (any run) and _ (any one char), case-sensitive.
@@ -101,6 +109,10 @@ class Evaluator {
   Result<Relation> ExecSelectCore(const SelectStmt& select,
                                   const EvalContext* outer);
   Result<Relation> ApplySetOp(SetOp op, Relation lhs, Relation rhs);
+  // Reads a base table; with a `where`, evaluates it against the catalog's
+  // rows in place and copies only the rows that pass.
+  Result<Relation> ScanBaseTable(const TableRef& ref, const Expr* where,
+                                 const EvalContext* outer);
   Result<Relation> BuildTableRef(const TableRef& ref, const EvalContext* outer);
   Result<Relation> BuildFromClause(const SelectStmt& select,
                                    const EvalContext* outer);
@@ -110,6 +122,17 @@ class Evaluator {
   Result<Value> EvalFunction(const Expr& expr, const EvalContext& ctx);
   Result<Tri> EvalPredicate(const Expr& expr, const EvalContext& ctx);
 
+  // The rows of a sub-query evaluated for the enclosing row `ctx`. The first
+  // call for `sub` runs it once with no enclosing scope. If that succeeds, no
+  // reference left the sub-query, so (evaluation being deterministic) its
+  // rows are the same for every enclosing row: they are kept and returned by
+  // reference from then on. If it fails, the sub-query is correlated (or
+  // fails anyway): it runs per call against `ctx` into `*per_row`, which
+  // gives the same rows and errors as running it per row always would.
+  Result<const Relation*> RunSubquery(const SelectStmt& sub,
+                                      const EvalContext& ctx,
+                                      Relation* per_row);
+
   // Collects aggregate nodes (not descending into sub-queries).
   static void CollectAggregates(const Expr& expr,
                                 std::vector<const Expr*>* out);
@@ -118,7 +141,15 @@ class Evaluator {
       const std::vector<const Expr*>& aggs, const Relation& src,
       const std::vector<size_t>& row_indices, const EvalContext* outer);
 
+  struct SubqueryResult {
+    bool correlated = false;  // the scope-free run failed
+    Relation rel;             // its rows otherwise
+  };
+
   Catalog* catalog_;
+  // Keyed by sub-query node. Valid while the catalog does not change, so an
+  // Evaluator must not outlive a write to a table its sub-queries read.
+  std::unordered_map<const SelectStmt*, SubqueryResult> subqueries_;
 };
 
 // ---- scalar evaluation -------------------------------------------------------
@@ -408,13 +439,15 @@ Result<Value> Evaluator::Eval(const Expr& expr, const EvalContext& ctx) {
     case ExprKind::kInSubquery: {
       LLMDM_ASSIGN_OR_RETURN(Value needle, Eval(*expr.args[0], ctx));
       if (needle.is_null()) return Value::Null();
-      LLMDM_ASSIGN_OR_RETURN(Relation rel, ExecSelect(*expr.subquery, &ctx));
-      if (rel.columns.size() != 1) {
+      Relation per_row;
+      LLMDM_ASSIGN_OR_RETURN(const Relation* rel,
+                             RunSubquery(*expr.subquery, ctx, &per_row));
+      if (rel->columns.size() != 1) {
         return Status::InvalidArgument(
             "IN sub-query must return exactly one column");
       }
       bool saw_null = false;
-      for (const Row& r : rel.rows) {
+      for (const Row& r : rel->rows) {
         if (r[0].is_null()) {
           saw_null = true;
           continue;
@@ -425,22 +458,26 @@ Result<Value> Evaluator::Eval(const Expr& expr, const EvalContext& ctx) {
       return Value::Bool(expr.negated);
     }
     case ExprKind::kExists: {
-      LLMDM_ASSIGN_OR_RETURN(Relation rel, ExecSelect(*expr.subquery, &ctx));
-      bool exists = !rel.rows.empty();
+      Relation per_row;
+      LLMDM_ASSIGN_OR_RETURN(const Relation* rel,
+                             RunSubquery(*expr.subquery, ctx, &per_row));
+      bool exists = !rel->rows.empty();
       return Value::Bool(expr.negated ? !exists : exists);
     }
     case ExprKind::kScalarSubquery: {
-      LLMDM_ASSIGN_OR_RETURN(Relation rel, ExecSelect(*expr.subquery, &ctx));
-      if (rel.columns.size() != 1) {
+      Relation per_row;
+      LLMDM_ASSIGN_OR_RETURN(const Relation* rel,
+                             RunSubquery(*expr.subquery, ctx, &per_row));
+      if (rel->columns.size() != 1) {
         return Status::InvalidArgument(
             "scalar sub-query must return exactly one column");
       }
-      if (rel.rows.empty()) return Value::Null();
-      if (rel.rows.size() > 1) {
+      if (rel->rows.empty()) return Value::Null();
+      if (rel->rows.size() > 1) {
         return Status::InvalidArgument(
             "scalar sub-query returned more than one row");
       }
-      return rel.rows[0][0];
+      return rel->rows[0][0];
     }
     case ExprKind::kBetween: {
       LLMDM_ASSIGN_OR_RETURN(Value v, Eval(*expr.args[0], ctx));
@@ -490,23 +527,56 @@ Result<Tri> Evaluator::EvalPredicate(const Expr& expr, const EvalContext& ctx) {
   return v.AsBool() ? Tri::kTrue : Tri::kFalse;
 }
 
+Result<const Relation*> Evaluator::RunSubquery(const SelectStmt& sub,
+                                               const EvalContext& ctx,
+                                               Relation* per_row) {
+  auto it = subqueries_.find(&sub);
+  if (it == subqueries_.end()) {
+    Result<Relation> once = ExecSelect(sub, nullptr);
+    SubqueryResult entry;
+    entry.correlated = !once.ok();
+    if (once.ok()) entry.rel = std::move(once).value();
+    // Nested sub-queries may have added entries meanwhile; references into
+    // an unordered_map survive that, iterators do not.
+    it = subqueries_.emplace(&sub, std::move(entry)).first;
+  }
+  if (!it->second.correlated) return &it->second.rel;
+  LLMDM_ASSIGN_OR_RETURN(*per_row, ExecSelect(sub, &ctx));
+  return per_row;
+}
+
 // ---- FROM construction -------------------------------------------------------
+
+Result<Relation> Evaluator::ScanBaseTable(const TableRef& ref,
+                                          const Expr* where,
+                                          const EvalContext* outer) {
+  LLMDM_ASSIGN_OR_RETURN(const data::Table* table,
+                         catalog_->GetTable(ref.table_name));
+  Relation rel;
+  std::string qual =
+      common::ToLower(ref.alias.empty() ? ref.table_name : ref.alias);
+  for (const auto& col : table->schema().columns()) {
+    rel.columns.push_back(BoundColumn{qual, col.name});
+  }
+  if (where == nullptr) {
+    rel.rows = table->rows();
+    return rel;
+  }
+  // Predicates read only rel.columns and the current row, so the catalog's
+  // row can stand in for a copy of it.
+  for (const Row& r : table->rows()) {
+    EvalContext ctx{&rel, &r, nullptr, outer};
+    LLMDM_ASSIGN_OR_RETURN(Tri t, EvalPredicate(*where, ctx));
+    if (t == Tri::kTrue) rel.rows.push_back(r);
+  }
+  return rel;
+}
 
 Result<Relation> Evaluator::BuildTableRef(const TableRef& ref,
                                           const EvalContext* outer) {
   switch (ref.kind) {
-    case TableRef::Kind::kBase: {
-      LLMDM_ASSIGN_OR_RETURN(const data::Table* table,
-                             catalog_->GetTable(ref.table_name));
-      Relation rel;
-      std::string qual =
-          common::ToLower(ref.alias.empty() ? ref.table_name : ref.alias);
-      for (const auto& col : table->schema().columns()) {
-        rel.columns.push_back(BoundColumn{qual, col.name});
-      }
-      rel.rows = table->rows();
-      return rel;
-    }
+    case TableRef::Kind::kBase:
+      return ScanBaseTable(ref, nullptr, outer);
     case TableRef::Kind::kSubquery: {
       LLMDM_ASSIGN_OR_RETURN(Relation rel, ExecSelect(*ref.subquery, outer));
       std::string qual = common::ToLower(ref.alias);
@@ -681,10 +751,16 @@ Result<std::map<std::string, Value>> Evaluator::ComputeAggregates(
 
 Result<Relation> Evaluator::ExecSelectCore(const SelectStmt& select,
                                            const EvalContext* outer) {
-  LLMDM_ASSIGN_OR_RETURN(Relation src, BuildFromClause(select, outer));
-
-  // WHERE.
-  if (select.where != nullptr) {
+  // WHERE. A lone base table is filtered while it is scanned.
+  const bool scan_filtered = select.where != nullptr &&
+                             select.from.size() == 1 &&
+                             select.from[0]->kind == TableRef::Kind::kBase;
+  LLMDM_ASSIGN_OR_RETURN(
+      Relation src,
+      scan_filtered
+          ? ScanBaseTable(*select.from[0], select.where.get(), outer)
+          : BuildFromClause(select, outer));
+  if (select.where != nullptr && !scan_filtered) {
     std::vector<Row> kept;
     for (Row& r : src.rows) {
       EvalContext ctx{&src, &r, nullptr, outer};
@@ -823,12 +899,14 @@ Result<Relation> Evaluator::ExecSelectCore(const SelectStmt& select,
         groups[std::move(key)].push_back(i);
       }
     }
-    static const Row kEmptyRow;
+    // The empty implicit group (aggregates over no rows) has no row to
+    // read bare columns from: they read NULL, as in SQLite.
+    const Row null_row(src.columns.size(), Value::Null());
     for (const auto& [key, indices] : groups) {
       auto agg_result = ComputeAggregates(aggs, src, indices, outer);
       if (!agg_result.ok()) return agg_result.status();
       std::map<std::string, Value> agg_values = std::move(agg_result).value();
-      const Row* rep = indices.empty() ? &kEmptyRow : &src.rows[indices[0]];
+      const Row* rep = indices.empty() ? &null_row : &src.rows[indices[0]];
       EvalContext ctx{&src, rep, &agg_values, outer};
       if (select.having != nullptr) {
         LLMDM_ASSIGN_OR_RETURN(Tri t, EvalPredicate(*select.having, ctx));
@@ -1013,6 +1091,11 @@ Result<data::Table> Executor::ExecuteSelect(const SelectStmt& select) {
 }
 
 Result<ExecResult> Executor::Execute(const Statement& stmt) {
+  // One Evaluator, and so one set of once-run sub-query results, per
+  // statement. INSERT evaluates every incoming row before it appends any, and
+  // DELETE swaps in the rebuilt table only at the end, so neither changes a
+  // table while the evaluator reads it. UPDATE writes each row back before it
+  // evaluates the next, so it takes a fresh Evaluator per row.
   Evaluator evaluator(catalog_);
   ExecResult result;
   switch (stmt.kind) {
@@ -1102,17 +1185,19 @@ Result<ExecResult> Executor::Execute(const Statement& stmt) {
         rel.columns.push_back(BoundColumn{qual, col.name});
       }
       for (size_t i = 0; i < table->NumRows(); ++i) {
-        rel.rows.clear();  // context only needs the current row
+        // A sub-query here sees the rows already updated.
+        Evaluator row_evaluator(catalog_);
         const Row& current = table->row(i);
         EvalContext ctx{&rel, &current, nullptr, nullptr};
         if (upd.where != nullptr) {
-          LLMDM_ASSIGN_OR_RETURN(Value cond, evaluator.Eval(*upd.where, ctx));
+          LLMDM_ASSIGN_OR_RETURN(Value cond,
+                                 row_evaluator.Eval(*upd.where, ctx));
           if (cond.is_null() || !cond.is_bool() || !cond.AsBool()) continue;
         }
         Row updated = current;
         for (size_t a = 0; a < targets.size(); ++a) {
-          LLMDM_ASSIGN_OR_RETURN(Value v,
-                                 evaluator.Eval(*upd.assignments[a].second, ctx));
+          LLMDM_ASSIGN_OR_RETURN(
+              Value v, row_evaluator.Eval(*upd.assignments[a].second, ctx));
           updated[targets[a]] = std::move(v);
         }
         *table->mutable_row(i) = std::move(updated);

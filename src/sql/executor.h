@@ -26,6 +26,16 @@ struct ExecResult {
 /// sub-queries resolve free columns through the enclosing scopes), CASE,
 /// scalar functions; plus CREATE/DROP TABLE, INSERT (VALUES and SELECT),
 /// UPDATE and DELETE. NULL follows SQL three-valued logic.
+///
+/// Sub-queries in expressions (IN, EXISTS, scalar) are first run once with
+/// no enclosing scope. If that run succeeds, the sub-query references nothing
+/// outside itself, and its rows are reused for every enclosing row of the
+/// statement. If it fails, the sub-query is correlated (or fails anyway) and
+/// runs once per enclosing row, as the results and errors of a per-row run
+/// require. UPDATE writes each row back before it evaluates the next, so
+/// there a sub-query runs at most once per target row and sees the rows
+/// already updated. A lone base table in FROM is filtered by WHERE as it is
+/// scanned; only the rows that pass are copied out of the catalog.
 class Executor {
  public:
   explicit Executor(Catalog* catalog) : catalog_(catalog) {}

@@ -24,6 +24,19 @@
 #include "obs/metrics.h"
 #include "serve/server.h"
 
+namespace llmdm::serve {
+
+// Reads admission-side state that has no public accessor.
+class ServerTestPeer {
+ public:
+  static size_t FlightGroups(const Server& server) {
+    std::lock_guard<std::mutex> lock(server.admission_mu_);
+    return server.inflight_.size();
+  }
+};
+
+}  // namespace llmdm::serve
+
 namespace llmdm {
 namespace {
 
@@ -500,6 +513,34 @@ std::string RunSingleFlightWorkload(size_t worker_threads) {
       server.meter().calls(), (long long)server.meter().cost().micros(),
       (long long)c.saved.micros());
   return log;
+}
+
+TEST(Serve, SingleFlightForgetsFlightsThatHaveLanded) {
+  // Unique prompts 100 vms apart on one slot: each flight's estimated finish
+  // (~5 vms of service) passes before the next arrival, so only the newest
+  // flight is ever in the air. The map may hold expired flights until its
+  // next sweep, but it must not grow with the number of prompts.
+  serve::Server::Options options;
+  options.worker_threads = 1;
+  options.shed_policy = serve::ShedPolicy::kNone;
+  options.single_flight = true;
+  serve::Server server(MakeModel("sim-serve", 100.0, 3), options);
+  constexpr size_t kN = 1000;
+  size_t peak = 0;
+  for (size_t i = 0; i < kN; ++i) {
+    server.Submit(MakeRequest(i, static_cast<double>(i) * 100.0,
+                              common::StrFormat("unique question %zu", i)));
+    peak = std::max(peak, serve::ServerTestPeer::FlightGroups(server));
+  }
+  EXPECT_LE(peak, 64u);
+  // An identical arrival inside the last flight still rides it.
+  server.Submit(MakeRequest(kN, (kN - 1) * 100.0 + 1.0,
+                            common::StrFormat("unique question %zu", kN - 1)));
+  auto responses = server.Drain();
+  ASSERT_EQ(responses.size(), kN + 1);
+  for (const auto& r : responses) EXPECT_TRUE(r.status.ok());
+  EXPECT_EQ(server.stats().coalesced, 1u);
+  EXPECT_TRUE(responses.back().coalesced);
 }
 
 TEST(Serve, SingleFlightDeterministicAcrossRunsAndThreadCounts) {

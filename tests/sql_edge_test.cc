@@ -4,6 +4,9 @@
 // DML/DDL edges.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/string_util.h"
+#include "data/nl2sql_workload.h"
 #include "sql/database.h"
 #include "sql/parser.h"
 
@@ -217,6 +220,134 @@ TEST_F(SqlEdgeTest, ComparisonTypeMismatchIsAnError) {
 TEST_F(SqlEdgeTest, DropTableIfExists) {
   EXPECT_TRUE(db_.Execute("DROP TABLE IF EXISTS no_such_table").ok());
   EXPECT_FALSE(db_.Execute("DROP TABLE no_such_table").ok());
+}
+
+TEST_F(SqlEdgeTest, UpdateSubqueryReadsRowsAlreadyUpdated) {
+  // UPDATE writes each row back before it evaluates the next, so the
+  // sub-query's MAX sees the rows already raised: 1 < 3, then 2 < 11, then
+  // 3 < 12. A sub-query result kept for the whole statement would stop at
+  // 11, 12, 3.
+  Exec("CREATE TABLE t (id INT, v INT)");
+  Exec("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)");
+  auto r = db_.Execute(
+      "UPDATE t SET v = v + 10 WHERE v < (SELECT MAX(v) FROM t)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->affected_rows, 3);
+  auto t = Q("SELECT v FROM t ORDER BY id");
+  ASSERT_EQ(t.NumRows(), 3u);
+  EXPECT_EQ(t.at(0, 0), Value::Int(11));
+  EXPECT_EQ(t.at(1, 0), Value::Int(12));
+  EXPECT_EQ(t.at(2, 0), Value::Int(13));
+}
+
+TEST_F(SqlEdgeTest, NestedSubqueryCorrelatedOnlyWithMiddleQuery) {
+  // The innermost query reads the middle query's `e`, never the outer
+  // `dept`: the middle query is uncorrelated and runs once, while the
+  // innermost runs per middle row. Top earners: ana (dept 1), cy (dept 2);
+  // eve's NULL dept matches no e2 row.
+  auto t = Q("SELECT name FROM dept WHERE id IN (SELECT e.dept_id FROM emp e "
+             "WHERE e.salary = (SELECT MAX(e2.salary) FROM emp e2 "
+             "WHERE e2.dept_id = e.dept_id)) ORDER BY name");
+  ASSERT_EQ(t.NumRows(), 2u);
+  EXPECT_EQ(t.at(0, 0).AsText(), "eng");
+  EXPECT_EQ(t.at(1, 0).AsText(), "sales");
+}
+
+TEST_F(SqlEdgeTest, HavingSubqueryReadsOuterGroupAggregate) {
+  // COUNT(*) inside the sub-query's WHERE is the outer group's count, so the
+  // sub-query runs per group: groups of 2 (depts 1 and 2) map to 'sales';
+  // the NULL group of 1 maps to 'eng' and is dropped.
+  auto t = Q("SELECT dept_id, COUNT(*) FROM emp GROUP BY dept_id HAVING "
+             "(SELECT name FROM dept WHERE dept.id = COUNT(*)) = 'sales' "
+             "ORDER BY dept_id");
+  ASSERT_EQ(t.NumRows(), 2u);
+  EXPECT_EQ(t.at(0, 0), Value::Int(1));
+  EXPECT_EQ(t.at(0, 1), Value::Int(2));
+  EXPECT_EQ(t.at(1, 0), Value::Int(2));
+  EXPECT_EQ(t.at(1, 1), Value::Int(2));
+}
+
+TEST_F(SqlEdgeTest, SubqueryWithUnknownColumnIsNotFound) {
+  for (const char* sql :
+       {"SELECT name FROM dept WHERE id IN (SELECT nope FROM emp)",
+        "SELECT name FROM dept WHERE EXISTS (SELECT 1 FROM emp WHERE nope)",
+        "SELECT (SELECT MAX(nope) FROM emp) FROM dept"}) {
+    auto r = db_.Query(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), common::StatusCode::kNotFound) << sql;
+    EXPECT_EQ(r.status().message(), "unknown column: nope") << sql;
+  }
+}
+
+TEST_F(SqlEdgeTest, BareColumnOfEmptyImplicitGroupIsNull) {
+  // Aggregates over no rows still give one row; the bare column has no row
+  // to come from and reads NULL (as in SQLite), instead of indexing past the
+  // end of an empty row.
+  Exec("CREATE TABLE empty_t (id INT, v INT)");
+  auto t = Q("SELECT id, COUNT(*), MAX(v) FROM empty_t");
+  ASSERT_EQ(t.NumRows(), 1u);
+  EXPECT_TRUE(t.at(0, 0).is_null());
+  EXPECT_EQ(t.at(0, 1), Value::Int(0));
+  EXPECT_TRUE(t.at(0, 2).is_null());
+}
+
+// Every kind of gold SQL in the NL2SQL cache family (each combiner, with and
+// without superlatives, across events and years, one year with no events)
+// gives the same rows as the same SQL with each IN (SELECT ...) replaced by
+// a literal list of that sub-query's own rows.
+TEST(SqlSubqueryDifferentialTest, GoldSqlMatchesInlinedSubqueryRows) {
+  Database db;
+  common::Rng rng(20240706);
+  ASSERT_TRUE(db.ExecuteScript(data::BuildStadiumDatabaseScript(
+                                   6, {2013, 2014, 2015}, rng))
+                  .ok());
+  auto inline_subquery = [&](std::string sql,
+                             const data::EventCondition& cond) {
+    const std::string sub = cond.ToIdSubquery();
+    auto rows = db.Query(sub);
+    EXPECT_TRUE(rows.ok()) << sub;
+    if (!rows.ok()) return sql;
+    std::vector<std::string> ids;
+    for (const auto& row : rows->rows()) ids.push_back(row[0].ToString());
+    // An empty IN list does not parse: IN (NULL) is never true, and NOT IN
+    // over an empty set always is.
+    std::string in_list = ids.empty() ? "NULL" : common::Join(ids, ", ");
+    sql = common::ReplaceAll(sql, "id NOT IN (" + sub + ")",
+                             ids.empty() ? "1 = 1"
+                                         : "id NOT IN (" + in_list + ")");
+    return common::ReplaceAll(sql, "id IN (" + sub + ")",
+                              "id IN (" + in_list + ")");
+  };
+  std::vector<data::EventCondition> conds;
+  for (auto event : {data::EventKind::kConcert, data::EventKind::kSportsMeeting})
+    for (int year : {2013, 2015, 2016})
+      for (bool superlative : {false, true})
+        conds.push_back(data::EventCondition{event, year, superlative});
+  size_t checked = 0;
+  for (const auto& first : conds) {
+    std::vector<data::Nl2SqlQuery> queries;
+    queries.push_back(data::Nl2SqlQuery{first, data::Combiner::kNone, {}});
+    for (const auto& second : conds) {
+      if (second == first) continue;
+      for (auto combiner : {data::Combiner::kOr, data::Combiner::kAnd,
+                            data::Combiner::kAndNot}) {
+        queries.push_back(data::Nl2SqlQuery{first, combiner, second});
+      }
+    }
+    for (const auto& q : queries) {
+      const std::string gold = q.ToGoldSql();
+      std::string inlined = inline_subquery(gold, q.first);
+      if (q.second.has_value()) inlined = inline_subquery(inlined, *q.second);
+      ASSERT_EQ(inlined.find("SELECT", 1), std::string::npos) << inlined;
+      auto want = db.Query(inlined);
+      auto got = db.Query(gold);
+      ASSERT_TRUE(want.ok()) << inlined << " -> " << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << gold << " -> " << got.status().ToString();
+      EXPECT_EQ(got->rows(), want->rows()) << gold << "\nvs\n" << inlined;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 12u * (1 + 11 * 3));
 }
 
 }  // namespace
